@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import resource
 import time
+from dataclasses import replace
 from typing import Optional
 
 from ..sim import CorePool, Environment, Store
@@ -235,13 +236,43 @@ def scale_point() -> dict:
     }
 
 
+def _ab_point(feature: str, off: tuple, on: tuple, **point_kwargs) -> dict:
+    """Run the reference setup with ``off`` then ``on``, ``(label, RunConfig)`` pairs.
+
+    Returns each leg's record under its label, plus ``<feature>_speedup``
+    (on/off throughput) and ``<feature>_latency_ratio`` (on/off mean latency).
+    """
+    results = {}
+    for label, config in (off, on):
+        point = run_point(
+            REFERENCE_SETUP, REFERENCE_SERVERS, config=config, **point_kwargs
+        )
+        results[label] = {
+            "throughput_ops_s": round(point.throughput_ops_s, 3),
+            "avg_latency_ms": round(point.avg_latency_ms, 6),
+            "p99_ms": round(point.p99_ms, 6),
+            "completed": point.completed,
+            "failed": point.failed,
+        }
+    base, test = results[off[0]], results[on[0]]
+
+    def ratio(key: str) -> float:
+        return round(test[key] / base[key], 3) if base[key] else 0.0
+
+    return {
+        **results,
+        f"{feature}_speedup": ratio("throughput_ops_s"),
+        f"{feature}_latency_ratio": ratio("avg_latency_ms"),
+    }
+
+
 def async_point() -> dict:
     """Sync-vs-async group commit on the mutation-heavy microbenchmark.
 
     Runs the mkdir single-op workload (the regime the async path is built
     for: every op is a groupable metadata mutation) on the reference setup
-    twice — legacy synchronous commit vs the async group-commit path —
-    and records both, plus the throughput/latency ratios.  The Spotify mix
+    twice — synchronous commit vs the async group-commit path — and
+    records both, plus the throughput/latency ratios.  The Spotify mix
     is ~90% reads so its aggregate delta is marginal; this point isolates
     the commit path itself and is the one the CI perf gate watches.
 
@@ -255,42 +286,19 @@ def async_point() -> dict:
     from ..hopsfs.groupcommit import AsyncCommitConfig
     from ..types import OpType
 
-    results = {}
-    for mode, commit in (("sync", None), ("async", AsyncCommitConfig())):
-        config = RunConfig(
-            clients_per_server=24,
-            warmup_ms=15.0,
-            window_ms=15.0,
-            async_commit=commit,
-        )
-        point = run_point(
-            REFERENCE_SETUP,
-            REFERENCE_SERVERS,
-            workload="single",
-            op=OpType.MKDIR,
-            config=config,
-        )
-        results[mode] = {
-            "throughput_ops_s": round(point.throughput_ops_s, 3),
-            "avg_latency_ms": round(point.avg_latency_ms, 6),
-            "p99_ms": round(point.p99_ms, 6),
-            "completed": point.completed,
-            "failed": point.failed,
-        }
-    sync_tput = results["sync"]["throughput_ops_s"]
+    sync = RunConfig(clients_per_server=24, warmup_ms=15.0, window_ms=15.0)
     return {
         "setup": REFERENCE_SETUP,
         "servers": REFERENCE_SERVERS,
         "op": "mkdir",
         "bench_scale": bench_scale(),
-        "sync": results["sync"],
-        "async": results["async"],
-        "async_speedup": round(
-            results["async"]["throughput_ops_s"] / sync_tput, 3
-        ) if sync_tput else 0.0,
-        "async_latency_ratio": round(
-            results["async"]["avg_latency_ms"] / results["sync"]["avg_latency_ms"], 3
-        ) if results["sync"]["avg_latency_ms"] else 0.0,
+        **_ab_point(
+            "async",
+            ("sync", sync),
+            ("async", replace(sync, async_commit=AsyncCommitConfig())),
+            workload="single",
+            op=OpType.MKDIR,
+        ),
     }
 
 
@@ -302,46 +310,24 @@ def listing_point() -> dict:
     preloaded namespace's files are all small, so even ``readFile``
     skips NDB).  Runs the mix at the default closed-loop client count
     (NN-CPU saturation — the regime where skipping transaction setup
-    frees handler cores) twice, legacy transactional reads vs the cache,
-    and records both plus the ratios.  The CI perf gate watches the
+    frees handler cores) twice, transactional reads vs the cache, and
+    records both plus the ratios.  The CI perf gate watches the
     throughput speedup.
     """
     from ..hopsfs.listcache import ListingCacheConfig
 
-    results = {}
-    for mode, cache in (("off", None), ("on", ListingCacheConfig())):
-        config = RunConfig(
-            warmup_ms=15.0,
-            window_ms=15.0,
-            listing_cache=cache,
-        )
-        point = run_point(
-            REFERENCE_SETUP,
-            REFERENCE_SERVERS,
-            workload="spotify",
-            config=config,
-        )
-        results[mode] = {
-            "throughput_ops_s": round(point.throughput_ops_s, 3),
-            "avg_latency_ms": round(point.avg_latency_ms, 6),
-            "p99_ms": round(point.p99_ms, 6),
-            "completed": point.completed,
-            "failed": point.failed,
-        }
-    off_tput = results["off"]["throughput_ops_s"]
+    off = RunConfig(warmup_ms=15.0, window_ms=15.0)
     return {
         "setup": REFERENCE_SETUP,
         "servers": REFERENCE_SERVERS,
         "workload": "spotify",
         "bench_scale": bench_scale(),
-        "off": results["off"],
-        "on": results["on"],
-        "listing_speedup": round(
-            results["on"]["throughput_ops_s"] / off_tput, 3
-        ) if off_tput else 0.0,
-        "listing_latency_ratio": round(
-            results["on"]["avg_latency_ms"] / results["off"]["avg_latency_ms"], 3
-        ) if results["off"]["avg_latency_ms"] else 0.0,
+        **_ab_point(
+            "listing",
+            ("off", off),
+            ("on", replace(off, listing_cache=ListingCacheConfig())),
+            workload="spotify",
+        ),
     }
 
 

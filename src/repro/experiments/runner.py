@@ -93,9 +93,6 @@ class PointResult:
     events: int = 0
     extra: dict = field(default_factory=dict)
 
-    def percentiles_for(self, op: OpType, collector: MetricsCollector):
-        return collector.latency_percentiles(op=op)
-
 
 def run_point(
     spec: SetupSpec | str,

@@ -6,14 +6,16 @@ the leader-maintained membership list for servers sharing its
 ``locationDomainId`` and falls back to a random live server (Section
 IV-B3, ``locationDomainId`` 0 disables the affinity).
 
-With :class:`~repro.hopsfs.robust.RobustConfig` attached the request path
-is hardened against *gray* failures: every RPC carries a timeout and the
-op's absolute deadline, timeouts trigger failover, retries back off with
-deterministic jitter under a retry budget, read-class ops hedge to a
-second NN after a configurable delay, mutations carry ``(client_id,
-op_seq)`` retry ids for exactly-once replay, and a per-NN circuit breaker
-routes around persistently slow servers.  Without it (the default) the
-legacy fail-stop path is bit-identical to earlier releases.
+Every op runs through one request loop.  A :class:`~repro.hopsfs.robust.
+RobustConfig` sets its parameters against *gray* failures: every RPC
+carries a timeout and the op's absolute deadline, timeouts trigger
+failover, retries back off with deterministic jitter under a retry
+budget, read-class ops hedge to a second NN after a configurable delay,
+mutations carry ``(client_id, op_seq)`` retry ids for exactly-once
+replay, and a per-NN circuit breaker routes around persistently slow
+servers.  Without one (the default) the same loop runs fail-stop: no
+deadline, timer, hedge, retry id or backoff, and ``max_failovers`` as
+the budget.
 """
 
 from __future__ import annotations
@@ -150,18 +152,15 @@ class HopsFsClient:
         view, so a decommissioned NN can never be picked as a hedge target
         or leak breaker entries.
         """
-        robust = self.robust
         candidates = [] if self.current_nn is None else [self.current_nn]
         candidates += [nn for nn in self.namenode_addrs if nn not in candidates]
         for nn in candidates:
-            if robust is not None and self._breaker_open(nn):
+            if self._breaker_open(nn):
                 continue
             try:
                 active = yield self.network.call(
                     self.addr, nn, "get_active_nns", size=self.request_bytes,
-                    timeout_ms=(
-                        robust.op_timeout_ms if robust is not None else None
-                    ),
+                    timeout_ms=self._op_timeout_ms(),
                 )
             except HostUnreachableError:
                 continue
@@ -210,32 +209,28 @@ class HopsFsClient:
     def _pick_namenode(self, deadline: Optional[Deadline] = None):
         """Fetch the active-NN list from any live NN, then apply the policy.
 
-        With a robust config, bootstrap calls are themselves bounded by the
-        RPC timeout (a degraded link must not hang server discovery) and
-        NNs behind an open circuit breaker are skipped — unless every
-        breaker is open, in which case the client fails open and tries
-        them all rather than giving up without a single packet.
+        Bootstrap calls are bounded by the RPC timeout and the op deadline,
+        if any (a degraded link must not hang server discovery), and NNs
+        behind an open circuit breaker are skipped — unless every breaker
+        is open, in which case the client fails open and tries them all
+        rather than giving up without a single packet.
         """
-        robust = self.robust
         bootstrap = list(self.namenode_addrs)
         if self.rng is not None:
             self.rng.shuffle(bootstrap)
-        if robust is not None:
-            closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
-            if closed:
-                bootstrap = closed
+        closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
+        if closed:
+            bootstrap = closed
         active = None
         for nn in bootstrap:
-            timeout_ms = None
-            if robust is not None:
-                timeout_ms = robust.op_timeout_ms
-                if deadline is not None:
-                    remaining = deadline.remaining(self.env.now)
-                    if remaining <= 0:
-                        raise DeadlineExceededError(
-                            "deadline expired during server discovery"
-                        )
-                    timeout_ms = min(timeout_ms, remaining)
+            timeout_ms = self._op_timeout_ms()
+            if deadline is not None:
+                remaining = deadline.remaining(self.env.now)
+                if remaining <= 0:
+                    raise DeadlineExceededError(
+                        "deadline expired during server discovery"
+                    )
+                timeout_ms = min(timeout_ms, remaining)
             try:
                 active = yield self.network.call(
                     self.addr, nn, "get_active_nns", size=self.request_bytes,
@@ -263,10 +258,9 @@ class HopsFsClient:
             undrained = [a for a in active if a[1] not in self._draining_nns]
             if undrained:
                 active = undrained
-        if robust is not None:
-            closed = [a for a in active if not self._breaker_open(a[1])]
-            if closed:
-                active = closed
+        closed = [a for a in active if not self._breaker_open(a[1])]
+        if closed:
+            active = closed
         if self.location_domain_id != ANY_AZ:
             local = [a for a in active if a[2] == self.location_domain_id]
             if local:
@@ -297,10 +291,7 @@ class HopsFsClient:
                 start_ms = self.env.now
         state = {"failures": 0}
         try:
-            if self.robust is not None:
-                result = yield from self._robust_op(op, kwargs, span, state)
-            else:
-                result = yield from self._op_body(op, kwargs, span, state)
+            result = yield from self._request(op, kwargs, span, state)
             if type(result) is GroupAck:
                 # Early ack from the async commit path: record the horizon
                 # this mutation rides and hand back the plain result.
@@ -315,9 +306,7 @@ class HopsFsClient:
                 ts.record_op(self.location_domain_id, now - start_ms, True, now)
             return result
         except (FsError, RpcTimeoutError, HostUnreachableError) as exc:
-            # Terminal failures must be tagged too (NoNamenodeError and
-            # FsError exits previously finished with neither ok nor error,
-            # undercounting failures in trace breakdowns).
+            # Terminal failures are tagged too, so trace breakdowns count them.
             if span is not None:
                 span.tags["ok"] = False
                 span.tags["error"] = type(exc).__name__
@@ -331,54 +320,37 @@ class HopsFsClient:
             if span is not None:
                 obs.tracer.finish(span, retries=state["failures"])
 
-    def _op_body(self, op: OpType, kwargs, span, state):
-        """Legacy fail-stop request path (bit-identical to prior releases)."""
-        obs = self.env.obs
-        while True:
-            if self.current_nn is None:
-                yield from self._pick_namenode()
-            try:
-                result = yield self.network.call(
-                    self.addr,
-                    self.current_nn,
-                    "fs_op",
-                    (op, kwargs),
-                    size=self.request_bytes,
-                    parent_span=span,
-                )
-                return result
-            except HostUnreachableError:
-                # Select a random surviving metadata server and retry.
-                self.current_nn = None
-                self.failovers += 1
-                state["failures"] += 1
-                if obs is not None:
-                    obs.registry.counter("client.failovers").inc()
-                if state["failures"] > self.max_failovers:
-                    raise NoNamenodeError(f"{op}: no metadata server after retries")
+    # ------------------------------------------------------- request loop
+    def _request(self, op: OpType, kwargs, span, state):
+        """The one request loop: fail over, redirect off draining NNs, retry.
 
-    # ------------------------------------------------- robust request path
-    def _robust_op(self, op: OpType, kwargs, span, state):
-        """Deadline-bounded request loop: timeouts fail over, busy backs off."""
+        A fail-stop client (no robust config) has no deadline, no retry id
+        and no backoff, and ``max_failovers`` as its retry budget.
+        """
         robust = self.robust
         env = self.env
-        deadline = Deadline(env.now + robust.deadline_ms)
-        extra = {"deadline_ms": deadline.expires_ms}
-        if op.mutates:
-            # Exactly-once retried mutations: the NN-side RetryCache keys
-            # replays off this id (same id across every retry of this op).
-            extra["retry_id"] = (self.client_id, next(self._op_seq))
+        deadline = extra = None
+        budget = self.max_failovers
+        if robust is not None:
+            deadline = Deadline(env.now + robust.deadline_ms)
+            extra = {"deadline_ms": deadline.expires_ms}
+            if op.mutates:
+                # Exactly-once retried mutations: the NN-side RetryCache keys
+                # replays off this id (same id across every retry of this op).
+                extra["retry_id"] = (self.client_id, next(self._op_seq))
+            budget = robust.retry.max_retries
         attempt = 0
         last_error = None
         try:
             while True:
-                if deadline.expired(env.now):
+                if deadline is not None and deadline.expired(env.now):
                     self._count("client.deadline_exceeded")
                     raise DeadlineExceededError(
                         f"{op.value}: client deadline expired"
                     ) from last_error
                 if self.current_nn is None:
-                    yield from self._pick_namenode(deadline=deadline)
+                    yield from self._pick_namenode(deadline)
+                backoff = deadline is not None
                 try:
                     result = yield from self._attempt(op, kwargs, span, deadline, extra)
                     breaker = self._breakers.get(self.current_nn)
@@ -405,13 +377,7 @@ class HopsFsClient:
                     last_error = exc
                     self._count("client.drain_redirects")
                     self._discard_namenode(self.current_nn)
-                    attempt += 1
-                    if attempt > robust.retry.max_retries:
-                        raise NoNamenodeError(
-                            f"{op.value}: retry budget exhausted "
-                            f"({robust.retry.max_retries} retries)"
-                        ) from last_error
-                    continue
+                    backoff = False
                 except ServerBusyError as exc:
                     # Shed by admission control: honor it with backoff and
                     # spread the retry over the other servers.
@@ -420,17 +386,16 @@ class HopsFsClient:
                     self._count("client.busy_rejections")
                     self.current_nn = None
                 attempt += 1
-                if attempt > robust.retry.max_retries:
+                if attempt > budget:
                     raise NoNamenodeError(
-                        f"{op.value}: retry budget exhausted "
-                        f"({robust.retry.max_retries} retries)"
+                        f"{op.value}: retry budget exhausted ({budget} retries)"
                     ) from last_error
-                yield from self._backoff(attempt, deadline, last_error)
+                if backoff:
+                    yield from self._backoff(attempt, deadline, last_error)
         finally:
-            overrun = env.now - deadline.expires_ms
-            if overrun > robust.op_timeout_ms:
-                # The deadline invariant's slack is one hop (one RPC
-                # timeout); anything beyond it is a contract violation.
+            # The deadline invariant's slack is one hop (one RPC timeout);
+            # anything beyond it is a contract violation.
+            if deadline is not None and env.now - deadline.expires_ms > robust.op_timeout_ms:
                 self.deadline_overruns.append((op.value, deadline.expires_ms, env.now))
 
     def _fail_over(self, state) -> None:
@@ -449,15 +414,20 @@ class HopsFsClient:
             ) from last_error
         yield self.env.timeout(delay)
 
-    def _rpc_timeout_ms(self, deadline: Deadline) -> float:
+    def _op_timeout_ms(self) -> Optional[float]:
+        """Per-RPC timeout; None (no timer armed) on a fail-stop client."""
+        return None if self.robust is None else self.robust.op_timeout_ms
+
+    def _rpc_timeout_ms(self, deadline: Optional[Deadline]) -> Optional[float]:
         """Per-call timeout, capped so no RPC outlives the op deadline."""
+        if deadline is None:
+            return None
         return max(
             0.001, min(self.robust.op_timeout_ms, deadline.remaining(self.env.now))
         )
 
-    def _attempt(self, op: OpType, kwargs, span, deadline: Deadline, extra):
-        """One bounded attempt; read-class ops hedge to a second NN."""
-        robust = self.robust
+    def _attempt(self, op: OpType, kwargs, span, deadline: Optional[Deadline], extra):
+        """One attempt; a robust client's read-class ops hedge to a second NN."""
         env = self.env
         primary_nn = self.current_nn
         primary = self.network.call(
@@ -465,14 +435,15 @@ class HopsFsClient:
             size=self.request_bytes, parent_span=span,
             timeout_ms=self._rpc_timeout_ms(deadline), extra=extra,
         )
-        if op.mutates or robust.hedge_delay_ms is None:
+        hedge_delay_ms = None if op.mutates or deadline is None else self.robust.hedge_delay_ms
+        if hedge_delay_ms is None:
             result = yield primary
             return result
         # Hedged read: wait the hedge delay; if the primary has not
         # answered, fire the same request at a different NN and take the
         # first reply.  The loser's reply (or timeout) resolves through the
         # abandoned event — callback-suppressed and defused, never raised.
-        hedge_timer = env.timeout(robust.hedge_delay_ms)
+        hedge_timer = env.timeout(hedge_delay_ms)
         yield env.any_of([primary, hedge_timer])
         if primary.triggered:
             if primary.ok:

@@ -43,9 +43,10 @@ class HopsFsConfig:
     # (HDFS-style startup safemode).  Off by default: benchmarks preload
     # their namespace and start hot.
     safemode_on_startup: bool = False
-    # Gray-failure hardening (timeouts, deadlines, hedging, retry cache,
-    # admission control).  None = legacy fail-stop path, which the pinned
-    # golden schedules require; chaos targets opt in.
+    # Gray-failure parameters of the client request loop (timeouts,
+    # deadlines, hedging, backoff) and NN guards (retry cache, admission
+    # control).  None = the same loop fail-stop, with client_max_failovers
+    # as its retry budget; chaos targets opt in.
     robust: Optional[RobustConfig] = None
     # Async group commit (batched flushes, early acks with a durability
     # horizon).  None = synchronous commit path, bit-identical to the

@@ -10,6 +10,7 @@ re-replication (Section IV-C2).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 from ..errors import (
@@ -157,6 +158,8 @@ class Namenode:
         self.ops_failed = 0
         self.ops_shed = 0
         self._inflight = 0
+        # Admission control bound; infinite (admit all) without a robust config.
+        self._max_inflight = config.robust.nn_max_inflight if config.robust else math.inf
         # Graceful decommission: a draining NN stops admitting new fs ops
         # (they bounce with ServerDrainingError) but finishes what it holds.
         # Rejections are counted separately from ops_shed so the autoscaler's
@@ -298,10 +301,9 @@ class Namenode:
             if not self.running:
                 continue
             if msg.kind == "fs_op":
-                robust = self.config.robust
                 if self.draining:
-                    # Graceful drain: bounce new work fast so robust clients
-                    # fail over; in-flight ops below keep running to
+                    # Graceful drain: bounce new work fast so clients
+                    # redirect to a peer; in-flight ops keep running to
                     # completion.  Membership queries stay served — peers
                     # still list us until the leader row is dropped.
                     self.ops_drain_rejected += 1
@@ -312,10 +314,7 @@ class Namenode:
                         ServerDrainingError(f"{self.addr} draining; pick another NN"),
                         ok=False,
                     )
-                elif robust is None:
-                    self._inflight += 1
-                    self.env.process(self._fs_op_guarded(msg), name=f"{self.addr}:fs_op")
-                elif self._inflight >= robust.nn_max_inflight:
+                elif self._inflight >= self._max_inflight:
                     # Admission control: shed before touching the handler
                     # pool so an overloaded NN answers fast instead of
                     # queueing work it cannot finish in time.

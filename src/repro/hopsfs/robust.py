@@ -17,8 +17,8 @@ slow instead of dead.  This module holds the client/server knobs that turn
   table, written in the same transaction as the mutation itself, so
   retried mutations are exactly-once even across NN crashes).
 - :class:`RobustConfig` — the opt-in bundle.  ``None`` (the default)
-  keeps the legacy fail-stop request path bit-identical, which is what
-  the golden-schedule determinism tests pin.
+  runs the client's one request loop with fail-stop parameters, which
+  is what the golden-schedule determinism tests pin.
 """
 
 from __future__ import annotations
@@ -145,12 +145,12 @@ class RetryCache:
 
 @dataclass(frozen=True)
 class RobustConfig:
-    """Opt-in gray-failure hardening for the whole request path.
+    """Gray-failure parameters of the client request loop and the NN guards.
 
     ``None`` in :class:`~repro.hopsfs.config.HopsFsConfig` (the default)
-    disables everything — no timers, no extra RNG draws, no admission
-    control — so default deployments replay their pinned golden schedules
-    bit-for-bit.  Chaos targets and dedicated tests turn it on.
+    runs the same loop fail-stop — no timers, no extra RNG draws, no
+    admission control, ``client_max_failovers`` as the budget — so default
+    deployments replay their pinned golden schedules bit-for-bit.
     """
 
     # Per-RPC timeout; also the "one hop" slack the deadline invariant

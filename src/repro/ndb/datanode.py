@@ -371,7 +371,11 @@ class NdbDatanode:
         )
         server_span = msg.extra.get("server_span") if self.env.obs is not None else None
         if node == self.addr:
-            rows = yield from self._ldm_scan_local(ldm_req)
+            try:
+                rows = yield from self._ldm_scan_local(ldm_req)
+            except NdbError as exc:
+                self._reply(msg, exc, ok=False)
+                return
         else:
             try:
                 rows = yield self.network.call(
@@ -754,7 +758,11 @@ class NdbDatanode:
 
     def _ldm_scan(self, msg: Message):
         req: LdmScanReq = msg.payload
-        rows = yield from self._ldm_scan_local(req)
+        try:
+            rows = yield from self._ldm_scan_local(req)
+        except NdbError as exc:
+            self._reply(msg, exc, ok=False)
+            return
         size = max(128, len(rows) * self.cluster.schema.table(req.table).row_bytes)
         self._reply(msg, rows, size=size)
 

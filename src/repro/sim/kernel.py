@@ -602,10 +602,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
     def schedule_at(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> _Deferred:
         """Schedule bare ``fn(arg)`` at absolute ``time`` — no Event allocated.
 

@@ -116,7 +116,6 @@ class OpResult:
     ok: bool = True
     retries: int = 0
     error: Optional[str] = None
-    served_by: Optional[NodeAddress] = None
     extra: dict = field(default_factory=dict)
 
     @property

@@ -40,8 +40,7 @@ from typing import Optional
 
 from ..errors import ReproError
 from ..metrics.collectors import MetricsCollector
-from ..types import OpResult
-from .driver import EXPECTED_ERRORS
+from .driver import run_op
 
 __all__ = ["ZipfPopulation", "AggregatedArrivalEngine"]
 
@@ -218,22 +217,8 @@ class AggregatedArrivalEngine:
                 env.process(self._one_op(stub, op, kwargs), name="scale-op")
 
     def _one_op(self, stub, op, kwargs):
-        start = self.env.now
-        ok, error = True, None
         try:
-            yield from stub.op(op, **kwargs)
-        except EXPECTED_ERRORS as exc:
-            ok, error = False, type(exc).__name__
+            yield from run_op(self.env, stub, op, kwargs, self.collector)
         finally:
             self.inflight -= 1
         self.detailed += 1
-        self.collector.record(
-            OpResult(
-                op=op,
-                start_ms=start,
-                end_ms=self.env.now,
-                ok=ok,
-                error=error,
-                retries=getattr(stub, "last_op_failures", 0),
-            )
-        )

@@ -12,12 +12,31 @@ from ..errors import FsError, NoNamenodeError, ReproError, TransactionAbortedErr
 from ..metrics.collectors import MetricsCollector
 from ..types import OpResult
 
-__all__ = ["ClosedLoopDriver", "OpenLoopDriver", "EXPECTED_ERRORS"]
+__all__ = ["ClosedLoopDriver", "OpenLoopDriver", "EXPECTED_ERRORS", "run_op"]
 
 # Error classes a driver treats as a failed op rather than a harness bug.
-# Shared with the aggregated-arrival engine (repro.workloads.arrivals).
 EXPECTED_ERRORS = (FsError, TransactionAbortedError, NoNamenodeError)
-_EXPECTED_ERRORS = EXPECTED_ERRORS  # backwards-compatible alias
+
+
+def run_op(env, client, op, kwargs, collector):
+    """Generator: issue one op and record its outcome in ``collector``.
+
+    The one failure-handling path of every driver: an error in
+    :data:`EXPECTED_ERRORS` is a failed op, anything else is a harness
+    bug and propagates.  ``collector`` is anything with ``record()``.
+    """
+    start = env.now
+    ok, error = True, None
+    try:
+        yield from client.op(op, **kwargs)
+    except EXPECTED_ERRORS as exc:
+        ok, error = False, type(exc).__name__
+    collector.record(
+        OpResult(
+            op=op, start_ms=start, end_ms=env.now, ok=ok, error=error,
+            retries=getattr(client, "last_op_failures", 0),
+        )
+    )
 
 
 class ClosedLoopDriver:
@@ -35,15 +54,10 @@ class ClosedLoopDriver:
         self.workload = workload
         self.collector = collector
         self.stopped = False
-        self._procs = []
 
     def start(self) -> None:
         for index, client in enumerate(self.clients):
-            self._procs.append(
-                self.env.process(
-                    self._client_loop(client, index), name="closed-loop-client"
-                )
-            )
+            self.env.process(self._client_loop(client, index), name="closed-loop-client")
 
     def stop(self) -> None:
         self.stopped = True
@@ -51,23 +65,7 @@ class ClosedLoopDriver:
     def _client_loop(self, client, index):
         while not self.stopped:
             op, kwargs = self.workload.next_op(client_id=index)
-            start = self.env.now
-            ok, error = True, None
-            try:
-                yield from client.op(op, **kwargs)
-            except _EXPECTED_ERRORS as exc:
-                ok, error = False, type(exc).__name__
-            self.collector.record(
-                OpResult(
-                    op=op,
-                    start_ms=start,
-                    end_ms=self.env.now,
-                    ok=ok,
-                    error=error,
-                    retries=getattr(client, "last_op_failures", 0),
-                    served_by=getattr(client, "current_nn", None),
-                )
-            )
+            yield from run_op(self.env, client, op, kwargs, self.collector)
 
 
 class OpenLoopDriver:
@@ -109,19 +107,8 @@ class OpenLoopDriver:
             client = self.clients[index]
             self._next_client += 1
             op, kwargs = self.workload.next_op(client_id=index)
-            self.env.process(self._one_op(client, op, kwargs), name="open-loop-op")
-            yield self.env.timeout(gap)
-
-    def _one_op(self, client, op, kwargs):
-        start = self.env.now
-        ok, error = True, None
-        try:
-            yield from client.op(op, **kwargs)
-        except _EXPECTED_ERRORS as exc:
-            ok, error = False, type(exc).__name__
-        self.collector.record(
-            OpResult(
-                op=op, start_ms=start, end_ms=self.env.now, ok=ok, error=error,
-                retries=getattr(client, "last_op_failures", 0),
+            self.env.process(
+                run_op(self.env, client, op, kwargs, self.collector),
+                name="open-loop-op",
             )
-        )
+            yield self.env.timeout(gap)

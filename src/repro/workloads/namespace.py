@@ -26,10 +26,6 @@ class Namespace:
     # Zipf-ish popularity weights aligned with ``files`` (sum to ~1).
     file_weights: list[float] = field(default_factory=list)
 
-    @property
-    def all_dirs(self) -> list[str]:
-        return self.top_dirs + self.dirs
-
     def size(self) -> int:
         return len(self.top_dirs) + len(self.dirs) + len(self.files)
 

@@ -104,3 +104,21 @@ def test_unknown_scenario_rejected():
     bad = replace(TEST_CONFIG, scenario="no-such-scenario")
     with pytest.raises(ReproError):
         run_shard({"config": asdict(bad), "shard_id": 0})
+
+
+def test_datanode_shut_down_mid_scan_fails_the_op_not_the_run():
+    # An AZ outage kills NDB datanodes while LDM scans are queued on them.
+    # The scan must come back to its TC as an error (the op fails or
+    # retries) instead of escaping the handler and aborting the shard.
+    config = ScaleConfig(
+        population=1000,
+        rate_ops_per_ms=500.0,
+        detail_every=32,
+        duration_ms=200.0,
+        shards=2,
+        workers=1,
+        scenario="az-outage-under-load",
+    )
+    merged = run_scale(config)["merged"]
+    assert merged["detailed"] > 0
+    assert merged["all_green"] is True

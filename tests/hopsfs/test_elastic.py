@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.hopsfs import ElasticConfig
+from repro.hopsfs import ElasticConfig, RobustConfig
 from repro.hopsfs.metadata import LEADER_TABLE
 
 from .conftest import make_fs, run
@@ -194,10 +194,13 @@ def test_client_tracks_membership_and_prunes_breaker_state():
     assert client.current_nn != victim.addr
 
 
-def test_client_redirects_off_draining_namenode_without_failing():
-    from repro.hopsfs import RobustConfig
-
-    fs = elastic_fs(robust=RobustConfig())
+@pytest.mark.parametrize(
+    "robust", [None, RobustConfig()], ids=["fail-stop", "robust"]
+)
+def test_client_redirects_off_draining_namenode_without_failing(robust):
+    # Fail-stop clients take the same redirect as robust ones, charged to
+    # client_max_failovers instead of the robust retry budget.
+    fs = elastic_fs(robust=robust)
     client = fs.client()
 
     def scenario():
