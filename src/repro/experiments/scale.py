@@ -283,8 +283,13 @@ def run_shard(payload: dict) -> ShardResult:
     collector.close_window(env.now)
     events = env._seq - seq_before
     engine.stop()
-    if config.drain_ms > 0:
-        env.run(until=env.now + config.drain_ms)
+    # A scenario drains at least as long as the chaos runner gives it, so
+    # healed replicas catch up before the invariants are checked.
+    drain_ms = config.drain_ms
+    if scenario is not None:
+        drain_ms = max(drain_ms, scenario.drain_ms)
+    if drain_ms > 0:
+        env.run(until=env.now + drain_ms)
 
     verdicts = None
     if scenario is not None:

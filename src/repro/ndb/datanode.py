@@ -317,6 +317,7 @@ class NdbDatanode:
             lock=req.lock,
             role=role,
             client_az=req.client_az,
+            lock_wait_ms=req.lock_wait_ms,
         )
         if req.lock is not LockMode.NONE:
             txn = self._txn(req.txid, req.client_az)  # refreshes last_active
@@ -426,6 +427,7 @@ class NdbDatanode:
             chain=op.chain,
             hop=0,
             tc=self.addr,
+            lock_wait_ms=req.lock_wait_ms,
         )
         self._dispatch_chain_prepare(prepare)
         try:
@@ -458,7 +460,10 @@ class NdbDatanode:
         # replicas (Section II-B2) — the chain order guarantees exactly that.
         # Backup locks are released by the Complete message.
         try:
-            yield self.locks.acquire(cp.txid, (cp.table, cp.pk), LockMode.EXCLUSIVE)
+            yield self.locks.acquire(
+                cp.txid, (cp.table, cp.pk), LockMode.EXCLUSIVE,
+                timeout_ms=cp.lock_wait_ms,
+            )
         except NdbError as exc:
             self._send(
                 cp.tc,
@@ -735,7 +740,10 @@ class NdbDatanode:
                 raise TransactionAbortedError(f"txn {req.txid} already rolled back")
             self._remember_lock_tc(req.txid, tc or self.addr)
             # Locked reads always run on the primary replica.
-            yield self.locks.acquire(req.txid, (req.table, req.pk), req.lock, parent=parent)
+            yield self.locks.acquire(
+                req.txid, (req.table, req.pk), req.lock, parent=parent,
+                timeout_ms=req.lock_wait_ms,
+            )
             if req.txid in self._reaped:
                 # Rolled back while we queued for the lock: let go of it.
                 self.locks.release_all(req.txid)

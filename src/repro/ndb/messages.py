@@ -43,6 +43,8 @@ class TcReadReq:
     partition_key: Hashable
     lock: LockMode = LockMode.NONE
     client_az: AzId = 0
+    # Lock-wait bound of the transaction; None = cluster deadlock timeout.
+    lock_wait_ms: Optional[float] = None
 
 
 @dataclass
@@ -61,6 +63,7 @@ class TcWriteReq:
     partition_key: Hashable
     value: Any  # TOMBSTONE for deletes
     client_az: AzId = 0
+    lock_wait_ms: Optional[float] = None
 
 
 @dataclass
@@ -84,6 +87,7 @@ class LdmReadReq:
     lock: LockMode
     role: int  # replica role of the serving node (0 = primary)
     client_az: AzId
+    lock_wait_ms: Optional[float] = None
 
 
 @dataclass
@@ -111,6 +115,7 @@ class ChainPrepare:
     chain: tuple[NodeAddress, ...]
     hop: int  # index of the node processing this message
     tc: NodeAddress
+    lock_wait_ms: Optional[float] = None
 
 
 @dataclass
