@@ -468,6 +468,10 @@ def build_hopsfs(
         group_ledger = GroupCommitLedger(env)
         for nn in namenodes:
             nn.attach_group_commit(group_ledger)
+        # The durability audit orders a deleted row's writers by its
+        # deleting txid.
+        for dn in ndb.datanodes.values():
+            dn.store.witness_deletes = True
 
     # Pre-materialized listing cache (opt-in): attach a per-NN cache and
     # subscribe each NN to the NDB changelog bus.  With config.listing_cache
