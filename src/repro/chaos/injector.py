@@ -17,16 +17,20 @@ counters), never schedules, keeping traced runs schedule-neutral.
 
 from __future__ import annotations
 
-from .schedule import FaultSchedule
-from .targets import ChaosTarget
+from ..errors import ReproError
+from .schedule import FaultEvent, FaultSchedule, parse_node
 
 __all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """Executes a :class:`FaultSchedule` against a :class:`ChaosTarget`."""
+    """Executes a :class:`FaultSchedule` against a setup's harness.
 
-    def __init__(self, target: ChaosTarget, schedule: FaultSchedule):
+    ``target`` is a :class:`~repro.experiments.setups.Harness`; every
+    event goes through its fault surface.
+    """
+
+    def __init__(self, target, schedule: FaultSchedule):
         self.target = target
         self.schedule = schedule
         self.env = target.env
@@ -61,8 +65,85 @@ class FaultInjector:
             )
             obs.registry.counter(f"chaos.fault.{event.action}").inc()
         try:
-            detail = yield from self.target.apply(event)
+            detail = yield from self._apply(event)
         finally:
             if obs is not None:
                 obs.tracer.finish(span)
         self.trace.append((self.env.now, event.action, detail))
+
+    def _addrs_in_az(self, az: int) -> list:
+        az_of = self.target.network.topology.az_of
+        return [a for a in self.target.managed_addrs() if az_of(a) == az]
+
+    def _apply(self, event: FaultEvent):
+        """Generator: execute one fault event; returns a description string."""
+        target = self.target
+        action = event.action
+        if action == "crash_node":
+            addr = parse_node(event.node)
+            target.crash(addr)
+            yield self.env.timeout(0)
+            return f"crashed {addr}"
+        if action == "recover_node":
+            addr = parse_node(event.node)
+            yield from target.recover(addr)
+            return f"recovered {addr}"
+        if action == "az_outage":
+            crashed = []
+            for addr in self._addrs_in_az(event.az):
+                if target.is_running(addr):
+                    target.crash(addr)
+                    crashed.append(str(addr))
+            yield self.env.timeout(0)
+            return f"az{event.az} down: {','.join(crashed)}"
+        if action == "az_heal":
+            recovered = []
+            for addr in self._addrs_in_az(event.az):
+                if not target.is_running(addr):
+                    yield from target.recover(addr)
+                    recovered.append(str(addr))
+            yield self.env.timeout(0)
+            return f"az{event.az} healed: {','.join(recovered)}"
+        if action == "partition":
+            target.network.partition_azs(*event.groups)
+            yield self.env.timeout(0)
+            a, b = event.groups
+            return f"partitioned az{list(a)} | az{list(b)}"
+        if action == "heal":
+            target.network.heal_partitions()
+            target.on_heal()
+            yield self.env.timeout(0)
+            return "healed partitions"
+        if action == "degrade_link":
+            az_a, az_b = event.az_pair
+            target.network.degrade_link(az_a, az_b, event.extra_ms)
+            yield self.env.timeout(0)
+            return f"degraded az{az_a}-az{az_b} by {event.extra_ms}ms"
+        if action == "restore_links":
+            target.network.restore_links()
+            yield self.env.timeout(0)
+            return "restored links"
+        if action == "recover_all":
+            recovered = []
+            for addr in target.managed_addrs():
+                if not target.is_running(addr):
+                    yield from target.recover(addr)
+                    recovered.append(str(addr))
+            yield self.env.timeout(0)
+            return f"recovered all: {','.join(recovered) or '(none down)'}"
+        # Elastic membership actions return immediately: drains and warning
+        # windows run as background processes so a churn storm never skews
+        # the firing times of later schedule events.
+        if action == "add_namenode":
+            detail = target.add_namenode(event.az)
+            yield self.env.timeout(0)
+            return detail
+        if action == "decommission_namenode":
+            detail = target.decommission_namenode(parse_node(event.node))
+            yield self.env.timeout(0)
+            return detail
+        if action == "preempt_namenode":
+            detail = target.preempt_namenode(parse_node(event.node), event.extra_ms)
+            yield self.env.timeout(0)
+            return detail
+        raise ReproError(f"unknown fault action {action!r}")

@@ -512,7 +512,7 @@ def deadline_compliance(target) -> InvariantVerdict:
     """
     overruns = []
     audited = 0
-    for client in getattr(target, "clients", []):
+    for client in target.clients:
         recorded = getattr(client, "deadline_overruns", None)
         if recorded is None:
             continue
@@ -584,9 +584,9 @@ def verify_cephfs(cluster) -> list[InvariantVerdict]:
 
 
 def verify_target(target) -> list[InvariantVerdict]:
-    """Run the invariant catalogue matching a chaos target's stack."""
+    """Run the invariant catalogue matching a harness's stack."""
     if target.kind == "hopsfs":
-        return verify_hopsfs(target.fs) + [deadline_compliance(target)]
+        return verify_hopsfs(target.deployment) + [deadline_compliance(target)]
     if target.kind == "cephfs":
         return verify_cephfs(target.cluster) + [deadline_compliance(target)]
-    raise ValueError(f"unknown chaos target kind {target.kind!r}")
+    raise ValueError(f"unknown harness kind {target.kind!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..errors import ReproError
+from ..experiments.setups import SETUPS, Harness, resolve_setup
 from ..hopsfs.elastic import ElasticConfig, elastic_summary
 from ..hopsfs.groupcommit import AsyncCommitConfig
 from ..hopsfs.listcache import ListingCacheConfig
@@ -25,7 +26,6 @@ from ..workloads.spotify import SpotifyWorkload
 from .injector import FaultInjector
 from .invariants import InvariantVerdict, verify_target
 from .schedule import FaultSchedule
-from .targets import ChaosTarget, build_chaos_target
 from .timeline import TimelineCollector
 
 __all__ = [
@@ -45,7 +45,7 @@ class Scenario:
     description: str
     # Builds the schedule against a live target (so it can name that
     # target's AZs and metadata servers).
-    schedule_fn: Callable[[ChaosTarget], FaultSchedule]
+    schedule_fn: Callable[[Harness], FaultSchedule]
     load_ms: float = 420.0  # workload runs this long (sim ms)
     drain_ms: float = 400.0  # quiesce window after the workload stops
     clients: int = 12
@@ -69,12 +69,12 @@ class Scenario:
     listing_cache: Optional[ListingCacheConfig] = None
 
 
-def _az_outage_schedule(target: ChaosTarget) -> FaultSchedule:
+def _az_outage_schedule(target: Harness) -> FaultSchedule:
     az = target.azs[-1]
     return FaultSchedule().az_outage(60.0, az).az_heal(220.0, az)
 
 
-def _rolling_restarts_schedule(target: ChaosTarget) -> FaultSchedule:
+def _rolling_restarts_schedule(target: Harness) -> FaultSchedule:
     schedule = FaultSchedule()
     t = 60.0
     for node in target.server_node_ids():
@@ -84,7 +84,7 @@ def _rolling_restarts_schedule(target: ChaosTarget) -> FaultSchedule:
     return schedule
 
 
-def _partition_schedule(target: ChaosTarget) -> FaultSchedule:
+def _partition_schedule(target: Harness) -> FaultSchedule:
     if len(target.azs) < 2:
         raise ReproError(f"{target.name} spans one AZ; nothing to partition")
     # Isolate the last AZ; the arbitrator (lowest-loaded AZ, ties to the
@@ -99,7 +99,7 @@ def _partition_schedule(target: ChaosTarget) -> FaultSchedule:
     )
 
 
-def _degraded_link_schedule(target: ChaosTarget) -> FaultSchedule:
+def _degraded_link_schedule(target: Harness) -> FaultSchedule:
     if len(target.azs) < 2:
         raise ReproError(f"{target.name} spans one AZ; no inter-AZ link to degrade")
     return (
@@ -109,7 +109,7 @@ def _degraded_link_schedule(target: ChaosTarget) -> FaultSchedule:
     )
 
 
-def _gray_degraded_link_schedule(target: ChaosTarget) -> FaultSchedule:
+def _gray_degraded_link_schedule(target: Harness) -> FaultSchedule:
     """A link so slow it looks dead to a bounded RPC, yet never drops."""
     if len(target.azs) < 2:
         raise ReproError(f"{target.name} spans one AZ; no inter-AZ link to degrade")
@@ -120,7 +120,7 @@ def _gray_degraded_link_schedule(target: ChaosTarget) -> FaultSchedule:
     )
 
 
-def _slow_az_schedule(target: ChaosTarget) -> FaultSchedule:
+def _slow_az_schedule(target: Harness) -> FaultSchedule:
     """Every link touching one AZ degrades: the AZ is up but sluggish."""
     if len(target.azs) < 2:
         raise ReproError(f"{target.name} spans one AZ; no inter-AZ links to slow")
@@ -133,13 +133,13 @@ def _slow_az_schedule(target: ChaosTarget) -> FaultSchedule:
     return schedule
 
 
-def _overload_burst_schedule(target: ChaosTarget) -> FaultSchedule:
+def _overload_burst_schedule(target: Harness) -> FaultSchedule:
     """Crash one metadata server while a client burst saturates the rest."""
     victim = target.server_node_ids()[0]
     return FaultSchedule().crash_node(60.0, victim).recover_node(200.0, victim)
 
 
-def _async_commit_crash_schedule(target: ChaosTarget) -> FaultSchedule:
+def _async_commit_crash_schedule(target: Harness) -> FaultSchedule:
     """Crash metadata servers while group-commit batches are lingering.
 
     Two staggered NN crashes maximise the odds of catching a batch between
@@ -155,7 +155,7 @@ def _async_commit_crash_schedule(target: ChaosTarget) -> FaultSchedule:
     return schedule
 
 
-def _nn_churn_schedule(target: ChaosTarget) -> FaultSchedule:
+def _nn_churn_schedule(target: Harness) -> FaultSchedule:
     """Continuous join/leave: grow, then rotate every original NN out."""
     if target.kind != "hopsfs":
         raise ReproError(f"{target.name}: elastic NN membership is HopsFS-only")
@@ -171,7 +171,7 @@ def _nn_churn_schedule(target: ChaosTarget) -> FaultSchedule:
     return schedule
 
 
-def _spot_preemption_storm_schedule(target: ChaosTarget) -> FaultSchedule:
+def _spot_preemption_storm_schedule(target: Harness) -> FaultSchedule:
     """Spot kills take out every original NN, staggered, with 5ms warnings."""
     if target.kind != "hopsfs":
         raise ReproError(f"{target.name}: elastic NN membership is HopsFS-only")
@@ -384,10 +384,10 @@ def run_scenario(
     n_clients = clients if clients is not None else scenario.clients
     run_ms = load_ms if load_ms is not None else scenario.load_ms
 
-    target = build_chaos_target(
-        setup,
-        num_servers=num_servers,
-        seed=seed,
+    target = SETUPS[resolve_setup(setup)].build(
+        num_servers,
+        seed,
+        chaos=True,
         robust=scenario.robust,
         async_commit=scenario.async_commit,
         elastic=scenario.elastic,
@@ -456,7 +456,7 @@ def run_scenario(
         dispatch_hash=h.hexdigest(),
     )
     if scenario.elastic is not None and target.kind == "hopsfs":
-        result.elastic = elastic_summary(target.fs, collector.completed, env.now)
+        result.elastic = elastic_summary(target.deployment, collector.completed, env.now)
     result.extra["target"] = target
     result.extra["collector"] = collector
     return result
@@ -479,7 +479,7 @@ def run_elastic_comparison(
     dispatch hash — both are deterministic, rerun-identical artifacts.
     """
 
-    def _no_faults(target: ChaosTarget) -> FaultSchedule:
+    def _no_faults(target: Harness) -> FaultSchedule:
         if target.kind != "hopsfs":
             raise ReproError(
                 f"{target.name}: elastic NN membership is HopsFS-only"

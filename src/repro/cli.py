@@ -28,7 +28,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import SETUPS, RunConfig, run_point
+from .errors import ReproError
+from .experiments import SETUPS, RunConfig, resolve_setup, run_point, setup_slug
 from .experiments import figures
 
 _TARGETS = [
@@ -56,8 +57,10 @@ def _run_target(name: str) -> None:
 
 
 def _cmd_point(args) -> int:
-    if args.setup not in SETUPS:
-        print(f"unknown setup {args.setup!r}; see `python -m repro list`", file=sys.stderr)
+    try:
+        setup = resolve_setup(args.setup)
+    except ReproError as exc:
+        print(f"{exc}; see `python -m repro list`", file=sys.stderr)
         return 2
     obs = None
     if args.trace or args.trace_jsonl:
@@ -82,7 +85,7 @@ def _cmd_point(args) -> int:
     config = RunConfig(warmup_ms=args.warmup, window_ms=args.window,
                        async_commit=async_commit,
                        listing_cache=listing_cache)
-    point = run_point(args.setup, args.servers, config=config, obs=obs)
+    point = run_point(setup, args.servers, config=config, obs=obs)
     print(f"setup:          {point.setup}")
     print(f"servers:        {point.servers}")
     if async_commit is not None:
@@ -138,12 +141,11 @@ _REPORT_SETUPS = [
 def _cmd_report(args) -> int:
     from .obs import ObsContext, breakdown_table, phase_breakdown_json
 
-    setups = args.setups or _REPORT_SETUPS
-    for setup in setups:
-        if setup not in SETUPS:
-            print(f"unknown setup {setup!r}; see `python -m repro list`",
-                  file=sys.stderr)
-            return 2
+    try:
+        setups = [resolve_setup(name) for name in args.setups or _REPORT_SETUPS]
+    except ReproError as exc:
+        print(f"{exc}; see `python -m repro list`", file=sys.stderr)
+        return 2
     doc = {}
     for setup in setups:
         obs = ObsContext()
@@ -223,8 +225,6 @@ def _cmd_perf(args) -> int:
 
 def _cmd_scale(args) -> int:
     # Imported lazily: the scale runner pulls in the experiment stack.
-    from .chaos import resolve_setup
-    from .errors import ReproError
     from .experiments.scale import SMOKE_CONFIG, ScaleConfig, run_scale
 
     try:
@@ -305,8 +305,7 @@ def _cmd_scale(args) -> int:
 
 def _cmd_chaos(args) -> int:
     # Imported lazily: the chaos layer pulls in both full stacks.
-    from .chaos import SCENARIOS, resolve_setup, run_scenario, setup_slug
-    from .errors import ReproError
+    from .chaos import SCENARIOS, run_scenario
 
     # Positional and --scenario flag forms are both accepted.
     if args.scenario is None:
@@ -376,8 +375,6 @@ def _apply_elastic_overrides(scenario, args):
     """Rebuild a scenario with the CLI's autoscaler overrides applied."""
     import dataclasses
 
-    from .errors import ReproError
-
     overrides = {}
     if getattr(args, "autoscale_min", None) is not None:
         overrides["min_nns_per_az"] = args.autoscale_min
@@ -401,8 +398,7 @@ def _apply_elastic_overrides(scenario, args):
 
 def _chaos_elastic_compare(args) -> int:
     """Fixed-pool vs autoscaled comparison artifact (``chaos elastic-compare``)."""
-    from .chaos import resolve_setup, run_elastic_comparison
-    from .errors import ReproError
+    from .chaos import run_elastic_comparison
 
     try:
         setup = resolve_setup(args.setup)
@@ -442,8 +438,6 @@ def _chaos_elastic_compare(args) -> int:
 
 def _cmd_monitor(args) -> int:
     # Imported lazily: the detector harness pulls in both full stacks.
-    from .chaos import resolve_setup
-    from .errors import ReproError
     from .obs.detect import SCENARIOS, run_monitor, monitor_table
 
     if args.scenario == "list":

@@ -177,18 +177,6 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _make_stubs(harness, az, count: int):
-    """AZ-pinned client stubs where the stack supports it."""
-    dep = getattr(harness, "deployment", None) or getattr(harness, "cluster", None)
-    stubs = []
-    for _ in range(count):
-        if dep is not None and hasattr(dep, "client"):
-            stubs.append(dep.client(az=az))
-        else:
-            stubs.append(harness.make_client())
-    return stubs
-
-
 def run_shard(payload: dict) -> ShardResult:
     """Run one shard's DES end to end (top-level: pool workers pickle it).
 
@@ -206,7 +194,7 @@ def run_shard(payload: dict) -> ShardResult:
     injector = None
     if config.scenario is not None:
         # Lazy import: chaos pulls in both full stacks.
-        from ..chaos import SCENARIOS, FaultInjector, build_chaos_target
+        from ..chaos import SCENARIOS, FaultInjector
 
         if config.scenario not in SCENARIOS:
             raise ReproError(
@@ -214,14 +202,9 @@ def run_shard(payload: dict) -> ShardResult:
                 f"(have: {', '.join(sorted(SCENARIOS))})"
             )
         scenario = SCENARIOS[config.scenario]
-        harness = build_chaos_target(
-            config.setup, num_servers=config.servers, seed=config.seed,
-            robust=scenario.robust,
-        )
-        env = harness.env
-    else:
-        harness = spec.build(config.servers, seed=config.seed)
-        env = harness.env
+    harness = spec.build(config.servers, seed=config.seed, chaos=scenario is not None,
+                         robust=scenario.robust if scenario is not None else None)
+    env = harness.env
     env.trace = []  # per-shard dispatch trace -> dispatch hash
 
     namespace = generate_namespace(
@@ -248,7 +231,7 @@ def run_shard(payload: dict) -> ShardResult:
         collector = MetricsCollector()
     engine = AggregatedArrivalEngine(
         env,
-        _make_stubs(harness, az, config.stubs_per_shard),
+        [harness.make_client(az) for _ in range(config.stubs_per_shard)],
         workload,
         collector,
         population,

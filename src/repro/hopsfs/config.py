@@ -46,11 +46,11 @@ class HopsFsConfig:
     # Gray-failure parameters of the client request loop (timeouts,
     # deadlines, hedging, backoff) and NN guards (retry cache, admission
     # control).  None = the same loop fail-stop, with client_max_failovers
-    # as its retry budget; chaos targets opt in.
+    # as its retry budget; chaos runs opt in.
     robust: Optional[RobustConfig] = None
     # Async group commit (batched flushes, early acks with a durability
     # horizon).  None = synchronous commit path, bit-identical to the
-    # pinned golden schedules; experiments and chaos targets opt in.
+    # pinned golden schedules; experiments and chaos runs opt in.
     async_commit: Optional[AsyncCommitConfig] = None
     # Elastic serving tier (runtime add/decommission, client membership
     # refresh, load-driven autoscaler).  None = fixed pool, bit-identical

@@ -32,7 +32,7 @@ def test_gray_degraded_link_green_with_timeouts_firing():
     target = result.extra["target"]
     assert sum(c.timeouts for c in target.clients) > 0
     # Late replies from the slow link were discarded, never delivered.
-    assert target.fs.network.late_replies > 0
+    assert target.deployment.network.late_replies > 0
     names = [v.name for v in result.verdicts]
     assert "exactly-once" in names and "deadline-compliance" in names
 
@@ -56,7 +56,7 @@ def test_overload_burst_sheds_and_replays_exactly_once():
     )
     assert result.all_green, [str(v) for v in result.verdicts]
     target = result.extra["target"]
-    fs = target.fs
+    fs = target.deployment
     assert sum(nn.ops_shed for nn in fs.namenodes) > 0
     assert sum(c.busy_rejections for c in target.clients) > 0
     # Mutations were retried under the burst, none applied twice.
@@ -87,11 +87,11 @@ def test_gray_scenarios_run_on_cephfs_with_vacuous_robust_invariants():
 
 def test_latency_recovers_after_degrade_partition_and_restart():
     """Satellite: degrade + partition + NN restart, then back to baseline."""
-    from repro.chaos.targets import build_chaos_target
+    from repro.experiments import SETUPS, resolve_setup
     from repro.workloads.namespace import generate_namespace
 
-    target = build_chaos_target(
-        "hopsfs-cl-3-3", num_servers=3, seed=7, robust=RobustConfig()
+    target = SETUPS[resolve_setup("hopsfs-cl-3-3")].build(
+        3, seed=7, chaos=True, robust=RobustConfig()
     )
     env = target.env
     namespace = generate_namespace(
@@ -121,7 +121,7 @@ def test_latency_recovers_after_degrade_partition_and_restart():
         yield env.timeout(60)
         target.network.heal_partitions()
         target.on_heal()
-        victim = target.fs.namenodes[0]
+        victim = target.deployment.namenodes[0]
         victim.shutdown()
         yield env.timeout(30)
         victim.restart()

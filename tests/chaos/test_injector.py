@@ -1,11 +1,12 @@
 """FaultInjector: schedule execution, relative timing, obs emission."""
 
-from repro.chaos import FaultInjector, FaultSchedule, build_chaos_target, parse_node
+from repro.chaos import FaultInjector, FaultSchedule, parse_node
+from repro.experiments import SETUPS, resolve_setup
 from repro.obs import ObsContext
 
 
 def _run_injector(schedule, obs=None, lead_ms=25.0):
-    target = build_chaos_target("hopsfs-cl-3-3", num_servers=2, seed=7)
+    target = SETUPS[resolve_setup("hopsfs-cl-3-3")].build(2, seed=7, chaos=True)
     env = target.env
     if obs is not None:
         obs.attach(env)

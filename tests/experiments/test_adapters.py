@@ -1,9 +1,10 @@
-"""Adapter-level tests: utilization reports and setup wiring."""
+"""Harness-level tests: utilization reports and setup wiring."""
 
 import pytest
 
 from repro.experiments import RunConfig, run_point
 from repro.experiments.setups import SETUPS
+from repro.workloads import generate_namespace
 
 _CFG = RunConfig(
     clients_per_server=8,
@@ -56,3 +57,17 @@ def test_cephfs_setup_has_twelve_osds():
     adapter = SETUPS["CephFS"].build(1, seed=0)
     assert len(adapter.cluster.osds) == 12  # "12 OSD nodes similar to NDB"
     assert adapter.cluster.config.osd_replication == 3
+
+
+def test_chaos_dirpinned_pins_like_the_figure_harness():
+    # One install for both tunings: the chaos-tuned DirPinned setup gets
+    # the operator's pin table too, not the dynamic balancer's placement.
+    namespace = generate_namespace(num_top_dirs=3, dirs_per_top=4, files_per_dir=2, seed=0)
+    tables = []
+    for chaos in (False, True):
+        harness = SETUPS["CephFS - DirPinned"].build(3, seed=0, chaos=chaos)
+        harness.install(namespace)
+        tables.append(harness.cluster.partitioner.pin_table)
+    figure, chaos = tables
+    assert figure
+    assert chaos == figure

@@ -122,3 +122,28 @@ def test_datanode_shut_down_mid_scan_fails_the_op_not_the_run():
     merged = run_scale(config)["merged"]
     assert merged["detailed"] > 0
     assert merged["all_green"] is True
+
+
+@pytest.mark.parametrize("setup", ["HopsFS-CL (3,3)", "CephFS"])
+def test_scenario_shard_stubs_sit_in_the_shard_az(monkeypatch, setup):
+    # A scenario shard drives its load from stubs in the shard's AZ, as a
+    # fault-free shard does; the AZ outage then hits the same clients.
+    import repro.experiments.scale as scale
+
+    class Captured(Exception):
+        pass
+
+    def capture(env, stubs, *args, az, **kwargs):
+        topology = stubs[0].network.topology
+        raise Captured([topology.az_of(stub.addr) for stub in stubs], az)
+
+    monkeypatch.setattr(scale, "AggregatedArrivalEngine", capture)
+    config = replace(TEST_CONFIG, setup=setup, shards=3, stubs_per_shard=6,
+                     scenario="az-outage-under-load")
+    from dataclasses import asdict
+
+    for shard_id in range(3):
+        with pytest.raises(Captured) as caught:
+            run_shard({"config": asdict(config), "shard_id": shard_id})
+        stub_azs, shard_az = caught.value.args
+        assert stub_azs == [shard_az] * 6

@@ -79,6 +79,22 @@ def test_report_unknown_setup(capsys):
     assert main(["report", "--setups", "NopeFS"]) == 2
 
 
+def test_point_and_report_accept_slugs(capsys):
+    assert main(["point", "hopsfs-2-1", "--servers", "1",
+                 "--warmup", "3", "--window", "3"]) == 0
+    assert "setup:          HopsFS (2,1)" in capsys.readouterr().out
+    assert main(["report", "--setups", "cephfs", "--servers", "1",
+                 "--warmup", "3", "--window", "3"]) == 0
+    assert "Latency breakdown - CephFS @" in capsys.readouterr().out
+
+
+def test_point_and_report_unknown_setup_name_the_slugs(capsys):
+    assert main(["point", "nope-fs"]) == 2
+    assert "hopsfs-cl-3-3" in capsys.readouterr().err
+    assert main(["report", "--setups", "HopsFS (3,3)", "nope-fs"]) == 2
+    assert "hopsfs-cl-3-3" in capsys.readouterr().err
+
+
 def test_chaos_list(capsys):
     assert main(["chaos", "list"]) == 0
     out = capsys.readouterr().out
